@@ -58,42 +58,6 @@ def test_event_throughput(benchmark, bench_json_sink):
     )
 
 
-def test_scheduler_wheel_vs_heap(benchmark, bench_json_sink):
-    """Satellite pin: the slot-wheel scheduler vs the legacy binary heap.
-
-    Identical workload through both queue implementations — 50k events
-    on a mixed grid (MAC-slot-aligned and off-grid times, the shape
-    frame scheduling produces) — so the recorded ``speedup`` isolates
-    the data structure from everything else.  Pop order is bit-identical
-    (pinned by the Hypothesis equivalence suite).
-    """
-
-    def storm(scheduler: str) -> float:
-        sim = Simulator(scheduler=scheduler)
-        with gc_paused():
-            for i in range(50_000):
-                # Mixed grid: slot-aligned bulk, off-grid stragglers.
-                t = i * 2e-5 if i % 4 else i * 1e-4 + 3.3e-7
-                sim.schedule(t, lambda: None)
-            t0 = time.perf_counter()
-            sim.run()
-            return time.perf_counter() - t0
-
-    storm("wheel")  # warm-up
-    wheel = benchmark.pedantic(storm, args=("wheel",), rounds=3, iterations=1)
-    heap = storm("heap")
-    bench_json_sink(
-        "kernel.scheduler_wheel",
-        {
-            "events": 50_000,
-            "wheel_s": round(wheel, 4),
-            "heap_s": round(heap, 4),
-            "drain_speedup": round(heap / wheel, 2),
-        },
-    )
-    assert wheel > 0 and heap > 0
-
-
 def test_protocol_step(benchmark, bench_json_sink):
     """Tentpole pin: pooled protocol stepping vs the legacy callback path.
 

@@ -51,20 +51,9 @@ def callback_label(callback: Callable[..., Any]) -> str:
 
 
 class KernelProbes:
-    """Event-kernel metrics: push/fire/cancel counts, depth, cost centers.
+    """Event-kernel metrics: push/fire/cancel counts, depth, cost centers."""
 
-    The three ``wheel_*`` probes watch the slot-wheel scheduler (the
-    default event queue): how many calendar slots hold pending events,
-    how many entries sit in the far-future overflow tier, and how many
-    pushes were routed there.  A healthy workload keeps overflow pushes
-    near zero — a climbing counter means event times routinely land past
-    the wheel horizon and the bucket width deserves a look.
-    """
-
-    __slots__ = (
-        "pushed", "fired", "cancelled", "depth", "costs",
-        "wheel_slots", "wheel_overflow", "overflow_pushed",
-    )
+    __slots__ = ("pushed", "fired", "cancelled", "depth", "costs")
 
     def __init__(self, reg: MetricsRegistry) -> None:
         self.pushed = reg.counter("sim.events_pushed")
@@ -72,9 +61,6 @@ class KernelProbes:
         self.cancelled = reg.counter("sim.events_cancelled")
         self.depth = reg.gauge("sim.queue_depth")
         self.costs = reg.table("sim.cost_centers")
-        self.wheel_slots = reg.gauge("sim.wheel_slots")
-        self.wheel_overflow = reg.gauge("sim.wheel_overflow")
-        self.overflow_pushed = reg.counter("sim.wheel_overflow_pushes")
 
     def record_fire(
         self, callback: Callable[..., Any], seconds: float, depth: int

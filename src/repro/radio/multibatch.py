@@ -5,7 +5,7 @@ Python round-trip *within* one broadcast, but every broadcast still paid
 the NumPy fixed costs once, and candidate sets below the medium's
 ``batch_min_candidates`` floor fell back to scalar ``channel.sample``
 calls — the dominant cost of protocol-heavy multi-AP rounds, where many
-small HELLO/data broadcasts land on the same wheel slot.
+small HELLO/data broadcasts land on the same instant.
 
 :func:`multibroadcast_samples` concatenates the candidate lanes of N
 pending same-instant broadcasts into flat arrays (per-lane transmitter

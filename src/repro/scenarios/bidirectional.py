@@ -150,10 +150,7 @@ def build_bidirectional_round(
     cfg: BidirectionalConfig, round_index: int
 ) -> BidirectionalRoundContext:
     """Wire one bidirectional pass."""
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=5003),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=5003))
     capture = TraceCollector()
     medium = build_medium(
         sim, channels.highway_channel(cfg.radio, sim, AP_NODE_ID), cfg.radio,

@@ -99,12 +99,14 @@ def apply_override(cfg, path: str, value):
     list values targeting tuple-typed fields are converted.
     """
     head, _, rest = path.partition(".")
-    try:
-        current = getattr(cfg, head)
-    except AttributeError:
+    # Match against the dataclass fields, not getattr: methods and
+    # dunders (``radio.ap_radio``, ``radio.__class__``) are attributes
+    # but not fields, and would reach replace() as bad keywords.
+    if head not in {f.name for f in fields(cfg)}:
         raise CampaignError(
             f"override path {path!r} does not exist on {type(cfg).__name__}"
-        ) from None
+        )
+    current = getattr(cfg, head)
     if rest:
         if not is_dataclass(current):
             raise CampaignError(f"override path {path!r} descends into a leaf field")

@@ -139,10 +139,7 @@ class HighwayRoundContext:
 
 def build_highway_round(cfg: HighwayConfig, round_index: int) -> HighwayRoundContext:
     """Wire one highway pass running ``cfg.mode`` vehicles."""
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=6007),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=6007))
     scenario = highway_scenario(
         road_length=cfg.road_length_m, ap_offset=cfg.ap_offset_m
     )

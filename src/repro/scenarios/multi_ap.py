@@ -134,10 +134,7 @@ def _aps_passed(cfg: MultiApConfig, car_index: int, time: float | None) -> float
 
 def build_multi_ap_round(cfg: MultiApConfig, round_index: int) -> MultiApRoundContext:
     """Wire one traversal of the infostation road."""
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=4099),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=4099))
     track = Polyline.straight(cfg.road_length_m)
     capture = TraceCollector()
     channel = channels.corridor_channel(cfg.radio, sim)

@@ -287,10 +287,7 @@ def build_trace_round(
 ) -> TraceRoundContext:
     """Wire one round driven by the configured recording."""
     traces = cfg.load_traces()
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=3907),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=3907))
     capture = TraceCollector()
     medium = build_medium(
         sim,

@@ -94,11 +94,6 @@ class RadioEnvironment:
     cross_broadcast_batch: bool = True
     #: Worst-case shadowing boost (dB) granted by the reachability bound.
     cull_headroom_db: float = 12.0
-    #: Event scheduler of the simulation kernel: ``"wheel"`` (default)
-    #: runs the slot-wheel calendar queue, ``"heap"`` the legacy binary
-    #: heap.  Pop order is identical (pinned by the equivalence suite),
-    #: so this is purely a throughput knob kept for A/B cross-checks.
-    scheduler: str = "wheel"
     #: Coalesced protocol delivery (see
     #: :class:`repro.core.engine.ProtocolPool`): when true (default),
     #: each broadcast's successful receptions step the C-ARQ protocols
@@ -255,9 +250,7 @@ def build_urban_round(
     apples-to-apples: same seeds → same trajectories and same channel
     realisation structure.
     """
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index), scheduler=cfg.radio.scheduler
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index))
     tb = testbed if testbed is not None else urban_loop()
     capture = TraceCollector()
     medium = build_medium(sim, build_channel(cfg, sim, tb), cfg.radio, trace=capture)

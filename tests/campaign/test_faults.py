@@ -18,6 +18,7 @@ import time
 import multiprocessing
 
 import pytest
+from chaosfixtures import first_firing_chaos
 
 from repro.campaign.chaos import ChaosSpec
 from repro.campaign.executor import run_campaign
@@ -100,19 +101,23 @@ class TestWorkerSigkill:
         expected = {t.task_id(): clean.get(t.task_id()) for t in spec.expand()}
 
         store = JsonlStore(tmp_path / "hung.jsonl")
+        retry = RetryPolicy(
+            max_attempts=6, timeout_s=1.0,
+            backoff_base_s=0.01, backoff_max_s=0.05,
+        )
         stats = run_campaign(
             spec,
             store,
             workers=2,
-            # Seed pinned so the keyed schedule provably fires on these
-            # task ids (3 first-attempt hangs, at most 3 of 6 attempts).
-            chaos=ChaosSpec(rate=0.5, seed=1, kinds=("hang",), hang_s=30.0),
-            retry=RetryPolicy(
-                max_attempts=6, timeout_s=1.0,
-                backoff_base_s=0.01, backoff_max_s=0.05,
+            # A seed whose keyed schedule provably hangs a first attempt
+            # on these task ids and lets every task finish within budget.
+            chaos=first_firing_chaos(
+                spec, 1, retry.max_attempts,
+                rate=0.5, kinds=("hang",), hang_s=30.0,
             ),
+            retry=retry,
         )
-        assert stats.timeouts >= 1, "the pinned schedule must hang once"
+        assert stats.timeouts >= 1, "the derived schedule must hang once"
         assert stats.failed == 0
         assert {
             t.task_id(): store.get(t.task_id()) for t in spec.expand()
@@ -135,6 +140,13 @@ def _run_cli_campaign(store_path, spec_path, *, workers=2):
     )
 
 
+def _stored_rows(store_path) -> int:
+    if not store_path.exists():
+        return 0
+    with open(store_path, encoding="utf-8") as handle:
+        return sum(1 for line in handle if line.strip())
+
+
 class TestParentInterrupt:
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
     def test_interrupt_checkpoints_and_resume_converges(
@@ -150,16 +162,21 @@ class TestParentInterrupt:
         store_path = tmp_path / "int.jsonl"
 
         proc = _run_cli_campaign(store_path, spec_path)
-        time.sleep(2.0)  # a few tasks in, several still pending
+        # Signal on the first checkpointed row: a few tasks in, several
+        # still pending.  A fixed sleep races the whole run on a fast host.
+        deadline = time.monotonic() + 60.0
+        while (
+            proc.poll() is None
+            and time.monotonic() < deadline
+            and not _stored_rows(store_path)
+        ):
+            time.sleep(0.02)
         proc.send_signal(signum)
         _out, err = proc.communicate(timeout=60)
         assert proc.returncode == 130, err
         assert "re-run the same command to resume" in err
 
-        checkpointed = 0
-        if store_path.exists():
-            with open(store_path, encoding="utf-8") as handle:
-                checkpointed = sum(1 for line in handle if line.strip())
+        checkpointed = _stored_rows(store_path)
         assert checkpointed < len(expected), "interrupt landed too late"
 
         # Resume: exactly the missing tasks execute, then bits match.

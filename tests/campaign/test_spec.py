@@ -82,8 +82,16 @@ class TestApplyOverride:
         assert cfg.platoon.driver_styles == ("normal", "normal")
 
     def test_unknown_path_raises(self):
-        with pytest.raises(CampaignError, match="nonsense"):
-            apply_override(UrbanScenarioConfig(), "nonsense", 1)
+        # Methods and dunders are attributes but not fields; a removed
+        # knob (the event-queue selector) must fail the same way.
+        for path, field in (
+            ("nonsense", "nonsense"),
+            ("radio.ap_radio", "ap_radio"),
+            ("radio.__class__", "__class__"),
+            ("radio.scheduler", "scheduler"),
+        ):
+            with pytest.raises(CampaignError, match=field):
+                apply_override(UrbanScenarioConfig(), path, 1)
 
     def test_descending_into_leaf_raises(self):
         with pytest.raises(CampaignError, match="leaf"):

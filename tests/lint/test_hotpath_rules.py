@@ -151,7 +151,7 @@ class TestAccumulatorShadow:
         assert only(findings, "RPL402") == []
 
     def test_rebind_before_any_accumulation_allowed(self, lint_module):
-        # The slot-wheel refill shape: a placeholder list replaced
+        # A refill shape: a placeholder list replaced
         # wholesale *before* anything was ever appended to it.
         findings = lint_module(
             "sim/wheel2.py",

@@ -65,14 +65,13 @@ SMALL_CONFIGS = {
 
 def run_rows(
     scenario: str, config, *, fast_path: bool, batch: bool,
-    scheduler: str = "wheel", batched_delivery: bool = True,
+    batched_delivery: bool = True,
     cross_broadcast_batch: bool = True, instrumented: bool = False,
 ):
     radio = dataclasses.replace(
         config.radio,
         reception_fast_path=fast_path,
         reception_batch=batch,
-        scheduler=scheduler,
         batched_delivery=batched_delivery,
         cross_broadcast_batch=cross_broadcast_batch,
     )
@@ -126,25 +125,19 @@ def test_fast_path_and_batch_rows_bit_identical(scenario):
 
 @pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
 def test_scheduler_and_delivery_rows_bit_identical(scenario):
-    """The event-kernel A/B pin: wheel + pooled delivery vs the legacy arms.
+    """The event-kernel A/B pin: pooled delivery vs per-vehicle callbacks.
 
-    The slot-wheel scheduler preserves the heap's ``(time, priority,
-    seq)`` pop order exactly, and the coalesced delivery sink defers
-    per-receiver dispatch within one already-atomic frame-end event —
-    channel draws are keyed per ``(link, transmission)`` and protocol
-    reactions only schedule future events, so neither can move a bit.
-    Three legacy arms (heap scheduler, per-vehicle callback delivery,
-    and both at once) must reproduce the default rows exactly.
+    The coalesced delivery sink defers per-receiver dispatch within one
+    already-atomic frame-end event — channel draws are keyed per
+    ``(link, transmission)`` and protocol reactions only schedule future
+    events, so it cannot move a bit.  The legacy per-vehicle callback arm
+    must reproduce the default rows exactly.
     """
     config = SMALL_CONFIGS[scenario]
     default = plain_rows(scenario, fast_path=True, batch=True)
-    heap = run_rows(config=config, scenario=scenario, fast_path=True,
-                    batch=True, scheduler="heap")
     unbatched = run_rows(config=config, scenario=scenario, fast_path=True,
                          batch=True, batched_delivery=False)
-    legacy = run_rows(config=config, scenario=scenario, fast_path=True,
-                      batch=True, scheduler="heap", batched_delivery=False)
-    assert default == heap == unbatched == legacy
+    assert default == unbatched
 
 
 @pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
