@@ -36,6 +36,18 @@ batch channel kernel (:mod:`repro.radio.batch`) whenever the set is
 large enough to amortise the array overhead; the scalar loop remains the
 reference implementation and the batch kernel is pinned bit-identical to
 it.
+
+Fixed infrastructure is computed once per round.  An interface whose
+mobility is a :class:`~repro.mobility.static.StaticMobility` at attach
+time is *fixed*.  On the fast path, a lane between two fixed interfaces
+keeps its distance, base loss, cull verdict and link hash in a per-pair
+memo — and its mean power too when the shadowing ignores time — so each
+frame on it costs one keyed fading draw.  Fixed receivers sit in their
+own grid, built once per topology; a fixed transmitter takes them from a
+list culled in advance and merges it with a query of the mobile grid.
+``attach``, :meth:`Medium.invalidate_neighbors` and
+:meth:`~repro.radio.channel.Channel.reset` drop the memo and the lists;
+the exhaustive path never reads them.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from repro import obs
 from repro.errors import MacError
 from repro.mac.frames import Frame
 from repro.mac.timing import frame_airtime
+from repro.mobility.static import StaticMobility
 from repro.obs.probes import medium_probes
 from repro.radio.batch import LaneScratch, broadcast_samples
 from repro.radio.channel import Channel, LinkSample
@@ -148,6 +161,37 @@ class _PendingTx:
         self.airtime = airtime
         self.tx_seq = tx_seq
         self.candidates = candidates
+
+
+class _FixedLane:
+    """Memoised link state of one ordered pair of fixed interfaces.
+
+    ``mean_dbm`` is ``None`` when the shadowing varies with time; the
+    mean is then recomputed per frame from the memoised loss.
+    """
+
+    __slots__ = (
+        "reachable", "distance_m", "loss_db", "link", "link_hash",
+        "rx_pos", "mean_dbm",
+    )
+
+    def __init__(
+        self,
+        reachable: bool,
+        distance_m: float,
+        loss_db: float,
+        link: tuple,
+        link_hash: int,
+        rx_pos: "Vec2",
+        mean_dbm: float | None,
+    ) -> None:
+        self.reachable = reachable
+        self.distance_m = distance_m
+        self.loss_db = loss_db
+        self.link = link
+        self.link_hash = link_hash
+        self.rx_pos = rx_pos
+        self.mean_dbm = mean_dbm
 
 
 def _post_draw_cause(delivered: bool, arrival: "_Arrival") -> LossCause:
@@ -333,6 +377,13 @@ class Medium:
         "_index_version",
         "_reach_radius_m",
         "_tx_radius_m",
+        "_fixed",
+        "_mobile",
+        "_fixed_index",
+        "_fixed_lists",
+        "_fixed_memo",
+        "_memo_on",
+        "_memo_realisation",
     )
 
     def __init__(
@@ -406,6 +457,27 @@ class Medium:
         # Per-transmit-power query radius (radios share a handful of
         # distinct powers, so this stays tiny).
         self._tx_radius_m: dict[float, float] = {}
+        # Fixed infrastructure: attach-time mount point per fixed
+        # interface, the other interfaces in attach order, the grid of
+        # fixed receivers, each fixed transmitter's culled fixed
+        # receivers (attach order) and its per-receiver lane memo.
+        self._fixed: dict[NetworkInterface, Vec2] = {}
+        self._mobile: list[NetworkInterface] = []
+        self._fixed_index: _NeighborIndex | None = None
+        self._fixed_lists: dict[NetworkInterface, list[NetworkInterface]] = {}
+        self._fixed_memo: dict[
+            NetworkInterface, dict[NetworkInterface, _FixedLane]
+        ] = {}
+        # Scripted channels (overridden sample or link_budget) bypass the
+        # memo, as they bypass the batch kernel; so does the exhaustive
+        # reference path.
+        cls = type(channel)
+        self._memo_on = (
+            fast_path
+            and cls.sample is Channel.sample
+            and cls.link_budget is Channel.link_budget
+        )
+        self._memo_realisation = channel.realisation
 
     @property
     def channel(self) -> Channel:
@@ -486,13 +558,72 @@ class Medium:
             mobility.batch_key() if mobility is not None else None,
             mobility,
         )
+        if isinstance(mobility, StaticMobility):
+            self._fixed[iface] = mobility.fixed_position
+        else:
+            self._mobile.append(iface)
         self.invalidate_neighbors()
 
     def invalidate_neighbors(self) -> None:
-        """Force a neighbor-index rebuild (topology or mobility jump)."""
+        """Force a neighbor-index rebuild (topology or mobility jump).
+
+        Also drops the fixed-infrastructure grid, lists and lane memo.
+        """
         self._index_version += 1
         self._reach_radius_m = None
         self._tx_radius_m.clear()
+        self._drop_fixed_state()
+
+    def _drop_fixed_state(self) -> None:
+        """Forget the fixed grid, lists and lane memo (rebuilt lazily)."""
+        self._fixed_index = None
+        self._fixed_lists.clear()
+        self._fixed_memo.clear()
+        self._memo_realisation = self._channel.realisation
+
+    # -- fixed infrastructure -------------------------------------------------
+
+    def _lane_memo(
+        self, tx_iface: "NetworkInterface"
+    ) -> dict["NetworkInterface", _FixedLane] | None:
+        """The lane memo of a fixed transmitter, or ``None`` (no memo)."""
+        if not self._memo_on or tx_iface not in self._fixed:
+            return None
+        if self._channel.realisation != self._memo_realisation:
+            self._drop_fixed_state()
+        lanes = self._fixed_memo.get(tx_iface)
+        if lanes is None:
+            lanes = self._fixed_memo[tx_iface] = {}
+        return lanes
+
+    def _memoise_lane(
+        self,
+        tx_iface: "NetworkInterface",
+        rx_iface: "NetworkInterface",
+        lanes: dict["NetworkInterface", _FixedLane],
+    ) -> _FixedLane:
+        """Compute and memoise the lane from one fixed interface to another.
+
+        The same expressions as the scalar pipeline, evaluated once: the
+        lane's geometry cannot change until the memo is dropped.
+        """
+        channel = self._channel
+        tx_pos = self._fixed[tx_iface]
+        rx_pos = self._fixed[rx_iface]
+        _, rx_gain, threshold, _, _ = self._rx_static[rx_iface]
+        tx_power = tx_iface.config.tx_power_dbm
+        distance, loss = channel.link_budget(tx_pos, rx_pos)
+        reachable = tx_power + rx_gain - loss + self._cull_headroom_db >= threshold
+        link, link_hash = channel.link(tx_iface.node_id, rx_iface.node_id)
+        mean = None
+        if reachable and channel.shadow_time_invariant():
+            mean = channel.mean_rx_power_dbm(
+                link, tx_pos, rx_pos, tx_power, rx_gain, loss, self._sim.now
+            )
+        lane = lanes[rx_iface] = _FixedLane(
+            reachable, distance, loss, link, link_hash, rx_pos, mean
+        )
+        return lane
 
     # -- candidate discovery --------------------------------------------------
 
@@ -542,6 +673,8 @@ class Medium:
             radius = self._radius_for_loss_budget(tx_power)
             self._tx_radius_m[tx_power] = radius
         now = self._sim.now
+        # Mobile receivers: a snapshot grid, refreshed with age, queried
+        # with the distance anyone may have moved since.
         index = self._index
         if (
             index is None
@@ -549,13 +682,37 @@ class Medium:
             or now - index.built_at > self._neighbor_refresh_s
         ):
             index = self._index = _NeighborIndex(
-                interfaces, cell, now, self._index_version
+                self._mobile, cell, now, self._index_version
             )
         slack = self._max_speed_ms * (now - index.built_at)
         found = index.query(tx_pos, radius + slack)
+        # Fixed receivers: a grid that never goes stale, queried without
+        # slack; a fixed transmitter reads its culled list instead.
+        lanes = self._lane_memo(tx_iface)
+        fixed_index = self._fixed_index
+        if fixed_index is None:
+            fixed_index = self._fixed_index = _NeighborIndex(
+                list(self._fixed), cell, now, self._index_version
+            )
+        rank = self._attach_rank
+        if lanes is None:
+            fixed = fixed_index.query(tx_pos, radius)
+        else:
+            fixed = self._fixed_lists.get(tx_iface)
+            if fixed is None:
+                fixed = []
+                for rx_iface in fixed_index.query(tx_pos, radius):
+                    if rx_iface is tx_iface:
+                        continue
+                    if self._memoise_lane(tx_iface, rx_iface, lanes).reachable:
+                        fixed.append(rx_iface)
+                fixed.sort(key=rank.__getitem__)
+                self._fixed_lists[tx_iface] = fixed
+            if not found:
+                return fixed  # shared and never mutated: callers only read
+        found.extend(fixed)
         if len(found) >= len(interfaces):
             return interfaces
-        rank = self._attach_rank
         found.sort(key=rank.__getitem__)
         return found
 
@@ -586,9 +743,6 @@ class Medium:
         for arrival in ongoing[tx_iface]:
             arrival.half_duplex = True
 
-        channel = self._channel
-        fast = self._fast_path
-        headroom = self._cull_headroom_db
         tx_power = tx_iface.config.tx_power_dbm
         tx_id = tx_iface.node_id
         candidates = self._candidates(tx_iface, tx_pos)
@@ -603,46 +757,19 @@ class Medium:
                 candidates=len(candidates),
                 path="batch" if use_batch else "scalar",
             )
-        scalar_samples = 0
         if use_batch:
             self._receive_batch(
                 tx_iface, candidates, frame, rate, tx_pos, tx_power, tx_id,
                 now, end, tx_seq, finishing,
             )
         else:
-            static = self._rx_static
-            for rx_iface in candidates:
-                if rx_iface is tx_iface:
-                    continue
-                # Same attach-time snapshot the batch gather reads, so
-                # the two paths can never disagree about radio params.
-                _, rx_gain, threshold, _, _ = static[rx_iface]
-                rx_pos = rx_iface.position()
-                budget = channel.link_budget(tx_pos, rx_pos)
-                reachable = tx_power + rx_gain - budget[1] + headroom >= threshold
-                if fast and not reachable:
-                    continue  # culled without consuming any stochastic draw
-                sample = channel.sample(
-                    tx_id,
-                    rx_iface.node_id,
-                    tx_pos,
-                    rx_pos,
-                    tx_power,
-                    rx_gain,
-                    time=now,
-                    tx_seq=tx_seq,
-                    budget=budget,
-                )
-                scalar_samples += 1
-                if not reachable or sample.mean_rx_power_dbm < threshold:
-                    continue  # far out of range: the radio never syncs
-                self._admit_arrival(
-                    rx_iface, _Arrival(frame, rate, sample, now, end), finishing
-                )
+            self._scalar_lanes(
+                tx_iface, candidates, frame, rate, tx_pos, tx_power, tx_id,
+                now, end, tx_seq, finishing,
+            )
 
         if self._obs is not None:
             self._obs.on_broadcast(len(candidates), len(finishing), use_batch)
-            self._obs.scalar_floor_calls.value += scalar_samples
         if spans is not None:
             spans.end(admitted=len(finishing))
         if finishing:
@@ -888,7 +1015,10 @@ class Medium:
                         finishing,
                     )
             else:
-                self._drain_scalar(p, finishing)
+                self._scalar_lanes(
+                    p.tx_iface, p.candidates, p.frame, p.rate, p.tx_pos,
+                    p.tx_power, p.tx_id, p.start, p.end, p.tx_seq, finishing,
+                )
             if obs_probes is not None:
                 obs_probes.on_broadcast(
                     len(p.candidates), len(finishing), use_multibatch
@@ -918,57 +1048,91 @@ class Medium:
         else:
             group_list.append(finishing)
 
-    def _drain_scalar(
+    def _scalar_lanes(
         self,
-        p: _PendingTx,
+        tx_iface: "NetworkInterface",
+        candidates: list["NetworkInterface"],
+        frame: Frame,
+        rate: WifiRate,
+        tx_pos: "Vec2",
+        tx_power: float,
+        tx_id: typing.Hashable,
+        start: float,
+        end: float,
+        tx_seq: int,
         finishing: list[tuple["NetworkInterface", _Arrival]],
     ) -> None:
-        """Scalar-floor evaluation of one queued broadcast.
+        """The scalar reference pipeline over one broadcast's candidates.
 
-        The same per-receiver pipeline as the legacy scalar loop — the
-        reference semantics — used when the whole drain holds too few
-        lanes to amortise the NumPy pass.  Iterates the captured
-        candidate snapshot directly so sub-floor drains never pay the
-        array gather.
+        Shared by the one-at-a-time arm and the coalescer's scalar floor
+        (drains holding too few lanes to amortise the NumPy pass), so it
+        iterates the candidate list directly and never pays the array
+        gather.  A lane between two fixed interfaces is served from the
+        pair memo: the same values, with only the keyed fading draw
+        left per frame — and not even that when the memoised mean
+        already rules the frame out, since a keyed draw nobody takes
+        perturbs nothing.
         """
         channel = self._channel
         fast = self._fast_path
         headroom = self._cull_headroom_db
+        # Same attach-time snapshot the batch gather reads, so the two
+        # paths can never disagree about radio params.
         static = self._rx_static
-        tx_iface = p.tx_iface
-        tx_pos = p.tx_pos
-        tx_power = p.tx_power
-        scalar_samples = 0
-        for rx_iface in p.candidates:
+        lanes = self._lane_memo(tx_iface)
+        fixed = self._fixed
+        sampled = 0
+        memoised = 0
+        for rx_iface in candidates:
             if rx_iface is tx_iface:
                 continue
             _, rx_gain, threshold, _, _ = static[rx_iface]
-            rx_pos = rx_iface.position()
-            budget = channel.link_budget(tx_pos, rx_pos)
-            reachable = tx_power + rx_gain - budget[1] + headroom >= threshold
-            if fast and not reachable:
-                continue  # culled without consuming any stochastic draw
-            sample = channel.sample(
-                p.tx_id,
-                rx_iface.node_id,
-                tx_pos,
-                rx_pos,
-                tx_power,
-                rx_gain,
-                time=p.start,
-                tx_seq=p.tx_seq,
-                budget=budget,
-            )
-            scalar_samples += 1
-            if not reachable or sample.mean_rx_power_dbm < threshold:
-                continue  # far out of range: the radio never syncs
+            if lanes is not None and rx_iface in fixed:
+                lane = lanes.get(rx_iface)
+                if lane is None:
+                    lane = self._memoise_lane(tx_iface, rx_iface, lanes)
+                memoised += 1
+                if not lane.reachable:
+                    continue  # culled without consuming any stochastic draw
+                mean = lane.mean_dbm
+                if mean is None:
+                    mean = channel.mean_rx_power_dbm(
+                        lane.link, tx_pos, lane.rx_pos, tx_power, rx_gain,
+                        lane.loss_db, start,
+                    )
+                if mean < threshold:
+                    continue  # far out of range: the radio never syncs
+                sample = LinkSample(
+                    mean + channel.fade_db(lane.link_hash, tx_seq),
+                    mean,
+                    lane.distance_m,
+                )
+            else:
+                rx_pos = rx_iface.position()
+                budget = channel.link_budget(tx_pos, rx_pos)
+                reachable = tx_power + rx_gain - budget[1] + headroom >= threshold
+                if fast and not reachable:
+                    continue  # culled without consuming any stochastic draw
+                sample = channel.sample(
+                    tx_id,
+                    rx_iface.node_id,
+                    tx_pos,
+                    rx_pos,
+                    tx_power,
+                    rx_gain,
+                    time=start,
+                    tx_seq=tx_seq,
+                    budget=budget,
+                )
+                sampled += 1
+                if not reachable or sample.mean_rx_power_dbm < threshold:
+                    continue  # far out of range: the radio never syncs
             self._admit_arrival(
-                rx_iface,
-                _Arrival(p.frame, p.rate, sample, p.start, p.end),
-                finishing,
+                rx_iface, _Arrival(frame, rate, sample, start, end), finishing
             )
         if self._obs is not None:
-            self._obs.scalar_floor_calls.value += scalar_samples
+            self._obs.scalar_floor_calls.value += sampled
+            self._obs.static_lanes.value += memoised
 
     def _finish_coalesced(self, end: float) -> None:
         """Frame end for every broadcast whose transmission ends at *end*.

@@ -14,6 +14,15 @@ class StaticMobility(MobilityModel):
     def __init__(self, position: Vec2) -> None:
         self._position = position
 
+    @property
+    def fixed_position(self) -> Vec2:
+        """The mount point, the same at every instant.
+
+        The medium reads it once per topology to precompute link state
+        between fixed mounts (see :class:`repro.mac.medium.Medium`).
+        """
+        return self._position
+
     def position(self, time: float) -> Vec2:
         return self._position
 

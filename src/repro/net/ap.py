@@ -163,7 +163,10 @@ class AccessPoint(Node):
             counter += 1
             if self._jitter_fraction > 0.0:
                 jitter = self._jitter_fraction * interval
-                delay = interval + float(self._rng.uniform(-jitter, jitter))
+                # NumPy's uniform(low, high) is low + (high - low) * random(),
+                # spelled out: the same double from the same stream
+                # position, without uniform()'s argument broadcasting.
+                delay = interval + (-jitter + (jitter - -jitter) * self._rng.random())
             else:
                 delay = interval
             self.sim.schedule(delay, tick)

@@ -86,6 +86,7 @@ class MediumProbes:
         "delivery_lanes",
         "coalesced_broadcasts",
         "scalar_floor_calls",
+        "static_lanes",
     )
 
     def __init__(self, reg: MetricsRegistry) -> None:
@@ -105,6 +106,9 @@ class MediumProbes:
         # cross-broadcast bench compares.
         self.coalesced_broadcasts = reg.counter("medium.coalesced_broadcasts")
         self.scalar_floor_calls = reg.counter("medium.scalar_floor_calls")
+        # Scalar lanes between two fixed interfaces served from the
+        # medium's pair memo instead of channel.sample.
+        self.static_lanes = reg.counter("medium.static_lanes")
         # Receivers per *coalesced* frame-end delivery (the batched
         # protocol-delivery path dispatches one event per broadcast and
         # fans out to every successful receiver inside it).

@@ -75,6 +75,7 @@ class Channel:
         "obstruction",
         "_rng",
         "_links",
+        "_realisation",
     )
 
     def __init__(
@@ -95,13 +96,22 @@ class Channel:
         # (tx_id, rx_id) → (canonical link key, stable 64-bit link hash);
         # pure values, memoised off the per-frame hot path.
         self._links: dict[tuple[Hashable, Hashable], tuple[tuple, int]] = {}
+        # Bumped by every reset, so holders of per-round link state (the
+        # medium's fixed-infrastructure memo) can tell a stale realisation.
+        self._realisation = 0
+
+    @property
+    def realisation(self) -> int:
+        """How many times :meth:`reset` has started a fresh realisation."""
+        return self._realisation
 
     @staticmethod
     def link_key(node_a: Hashable, node_b: Hashable) -> tuple[Hashable, Hashable]:
         """Canonical (order-independent) link identifier for reciprocity."""
         return (node_a, node_b) if repr(node_a) <= repr(node_b) else (node_b, node_a)
 
-    def _link(self, tx_id: Hashable, rx_id: Hashable) -> tuple[tuple, int]:
+    def link(self, tx_id: Hashable, rx_id: Hashable) -> tuple[tuple, int]:
+        """``(canonical link key, stable 64-bit link hash)`` of a node pair."""
         cached = self._links.get((tx_id, rx_id))
         if cached is None:
             key = self.link_key(tx_id, rx_id)
@@ -163,6 +173,37 @@ class Channel:
 
     # -- stochastic realisation ----------------------------------------------
 
+    def shadow_time_invariant(self) -> bool:
+        """Whether a fixed link's mean power stays put until :meth:`reset`."""
+        return self.shadowing.time_invariant()
+
+    def mean_rx_power_dbm(
+        self,
+        link: tuple,
+        tx_pos: Vec2,
+        rx_pos: Vec2,
+        tx_power_dbm: float,
+        rx_gain_db: float,
+        loss_db: float,
+        time: float,
+    ) -> float:
+        """The frame-independent part of :meth:`sample`: power before fading.
+
+        *link* is the canonical key from :meth:`link` and *loss_db* the
+        ``base_loss_db`` of :meth:`link_budget`.
+        """
+        shadow = self.shadowing.sample_db(link, tx_pos, rx_pos, time)
+        return tx_power_dbm + rx_gain_db - loss_db - shadow
+
+    def fade_db(self, link_hash: int, tx_seq: int | None) -> float:
+        """The per-frame part of :meth:`sample`: the fading draw.
+
+        Keyed by ``(link_hash, tx_seq)``, so it is a pure function of the
+        link and the transmission; without a ``tx_seq`` the model's
+        sequential counter is used instead.
+        """
+        return self.fading.sample_db(None if tx_seq is None else (link_hash, tx_seq))
+
     def sample(
         self,
         tx_id: Hashable,
@@ -183,15 +224,17 @@ class Channel:
         a pure function of its arguments.  Without it, fading falls back
         to the model's sequential counter (legacy single-link callers).
         ``budget`` forwards a precomputed :meth:`link_budget` so the
-        deterministic part is not evaluated twice.
+        deterministic part is not evaluated twice.  The sample is
+        :meth:`mean_rx_power_dbm` plus :meth:`fade_db`.
         """
         if budget is None:
             budget = self.link_budget(tx_pos, rx_pos)
         distance, loss = budget
-        link, link_hash = self._link(tx_id, rx_id)
-        shadow = self.shadowing.sample_db(link, tx_pos, rx_pos, time)
-        mean_power = tx_power_dbm + rx_gain_db - loss - shadow
-        fade = self.fading.sample_db(None if tx_seq is None else (link_hash, tx_seq))
+        link, link_hash = self.link(tx_id, rx_id)
+        mean_power = self.mean_rx_power_dbm(
+            link, tx_pos, rx_pos, tx_power_dbm, rx_gain_db, loss, time
+        )
+        fade = self.fade_db(link_hash, tx_seq)
         return LinkSample(
             rx_power_dbm=mean_power + fade,
             mean_rx_power_dbm=mean_power,
@@ -246,7 +289,7 @@ class Channel:
         for rx_id in rx_ids:
             cached = cache_get((tx_id, rx_id))
             if cached is None:
-                cached = self._link(tx_id, rx_id)
+                cached = self.link(tx_id, rx_id)
             links.append(cached[0])
             hash_list.append(cached[1])
         link_hashes = np.array(hash_list, dtype=np.uint64)
@@ -308,7 +351,7 @@ class Channel:
         for tx_id, rx_id in zip(tx_ids, rx_ids):
             cached = cache_get((tx_id, rx_id))
             if cached is None:
-                cached = self._link(tx_id, rx_id)
+                cached = self.link(tx_id, rx_id)
             links.append(cached[0])
             hash_list.append(cached[1])
         link_hashes = np.array(hash_list, dtype=np.uint64)
@@ -392,3 +435,4 @@ class Channel:
     def reset(self) -> None:
         """Clear per-link shadowing state (between rounds)."""
         self.shadowing.reset()
+        self._realisation += 1

@@ -141,6 +141,16 @@ class ShadowingModel(abc.ABC):
         """
         return math.inf
 
+    def time_invariant(self) -> bool:
+        """Whether :meth:`sample_db` ignores *time* between resets.
+
+        When true, a link between two fixed endpoints keeps one value for
+        the whole realisation, so callers may memoise it until
+        :meth:`reset`.  The default is the safe answer for models that
+        do not say.
+        """
+        return False
+
     def reset(self) -> None:
         """Start a fresh realisation (called between simulation rounds)."""
 
@@ -167,6 +177,9 @@ class NoShadowing(ShadowingModel):
 
     def max_boost_db(self) -> float:
         return 0.0
+
+    def time_invariant(self) -> bool:
+        return True
 
     def reset(self) -> None:  # no state
         return None
@@ -235,11 +248,11 @@ class GudmundsonShadowing(ShadowingModel):
         # long-running scenario accumulates too many cold corners.
         self._corners: dict[tuple[int, int, int, int], float] = {}
         # (link hash, cell) → all eight corner Gaussians of that cell as
-        # one tuple: the batch kernel's cell-grained memo (one dict probe
-        # per candidate instead of eight, and tuples assemble into the
-        # (n, 8) matrix with a single np.array call).  Values are pure in
-        # (key, epoch), so this coexists with the scalar memo without any
-        # consistency protocol.
+        # one tuple: the cell-grained memo both paths fill and read (one
+        # dict probe per sample instead of eight, and tuples assemble into
+        # the batch kernel's (n, 8) matrix with a single np.array call).
+        # Values are pure in (key, epoch), so this coexists with the
+        # per-corner memo without any consistency protocol.
         self._corner_blocks: dict[
             tuple[int, int, int, int], tuple[float, ...]
         ] = {}
@@ -285,9 +298,11 @@ class GudmundsonShadowing(ShadowingModel):
         gx = 1.0 - fx
         gy = 1.0 - fy
         gz = 1.0 - fz
-        block = self._corner_blocks.get((h, ix, iy, iz))
+        blocks = self._corner_blocks
+        cell = (h, ix, iy, iz)
+        block = blocks.get(cell)
         if block is not None:
-            # The batch kernel already drew this cell's eight corners
+            # This cell's eight corners were drawn before, by either path
             # (pure values, so reuse is exact): one probe, no per-corner
             # lookups — mixed scalar/batch workloads share one cache.
             c000, c100, c010, c110, c001, c101, c011, c111 = block
@@ -301,6 +316,9 @@ class GudmundsonShadowing(ShadowingModel):
             c101 = corner(h, ix + 1, iy, iz + 1)
             c011 = corner(h, ix, iy + 1, iz + 1)
             c111 = corner(h, ix + 1, iy + 1, iz + 1)
+            if len(blocks) >= self._MAX_BLOCK_CACHE:
+                blocks.clear()
+            blocks[cell] = (c000, c100, c010, c110, c001, c101, c011, c111)
         mix = gz * (
             gx * gy * c000
             + fx * gy * c100
@@ -466,6 +484,10 @@ class GudmundsonShadowing(ShadowingModel):
 
     def max_boost_db(self) -> float:
         return self.clamp_sigmas * self.sigma_db
+
+    def time_invariant(self) -> bool:
+        # A frozen spatial field: only the endpoints' positions move it.
+        return True
 
     def reset(self) -> None:
         self._epoch += 1
@@ -742,6 +764,9 @@ class CompositeShadowing(ShadowingModel):
 
     def max_boost_db(self) -> float:
         return sum(c.max_boost_db() for c in self.components)
+
+    def time_invariant(self) -> bool:
+        return all(c.time_invariant() for c in self.components)
 
     def reset(self) -> None:
         for component in self.components:

@@ -67,17 +67,20 @@ class TraceCollector:
 
     # -- queries -----------------------------------------------------------------
 
+    # Queries read with .get(): indexing the defaultdicts would insert an
+    # empty entry for every (node, flow) pair ever asked about.
+
     def transmitted_seqs(self, flow: NodeId) -> set[int]:
         """All data sequence numbers the AP transmitted on *flow*."""
-        return set(self._data_transmissions[flow])
+        return set(self._data_transmissions.get(flow, {}))
 
     def delivered_seqs(self, node: NodeId, flow: NodeId) -> set[int]:
         """Data seqs of *flow* captured (delivered) at *node*."""
-        return set(self._data_deliveries[(node, flow)])
+        return set(self._data_deliveries.get((node, flow), {}))
 
     def delivery_time(self, node: NodeId, flow: NodeId, seq: int) -> float | None:
         """First delivery time of a packet at a node, or ``None``."""
-        return self._data_deliveries[(node, flow)].get(seq)
+        return self._data_deliveries.get((node, flow), {}).get(seq)
 
     def loss_causes(self, node: NodeId) -> dict[LossCause, int]:
         """Histogram of RX outcomes at one node."""

@@ -9,7 +9,7 @@ from repro.mac.medium import LossCause
 from repro.radio.modulation import WifiRate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxRecord:
     """One frame put on the air."""
 
@@ -19,7 +19,7 @@ class TxRecord:
     rate: WifiRate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RxRecord:
     """One frame arriving (or failing to arrive) at one receiver.
 

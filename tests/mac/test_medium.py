@@ -760,3 +760,204 @@ class TestBatchKernel:
         # Scripted power must be visible on every record in both modes.
         assert all(r[-1] == -60.0 for r in batched)
         assert batched == scalar
+
+
+class TestFixedLaneMemo:
+    """Lanes between fixed interfaces: memoised, yet equal to the channel."""
+
+    SPACING_M = 90.0
+
+    @staticmethod
+    def corridor(sim):
+        from repro.scenarios.channels import corridor_channel
+        from repro.scenarios.urban import RadioEnvironment
+
+        return corridor_channel(RadioEnvironment(), sim)
+
+    @staticmethod
+    def urban(sim):
+        # Gudmundson + the hub-anchored TemporalTx term: the mean power
+        # varies with time, so only the geometry may be memoised.
+        from repro.scenarios.channels import urban_channel
+        from repro.scenarios.urban import RadioEnvironment
+
+        return urban_channel(RadioEnvironment(), sim, hub=NodeId(1))
+
+    def build(self, make_channel, n_nodes, *, fast_path=True, seed=21):
+        sim = Simulator(seed=seed)
+        channel = make_channel(sim)
+        trace = TraceCollector()
+        medium = Medium(sim, channel, trace=trace, fast_path=fast_path, batch=False)
+        ifaces = [self.attach_fixed(sim, medium, i) for i in range(n_nodes)]
+        return sim, channel, trace, medium, ifaces
+
+    def attach_fixed(self, sim, medium, index):
+        from repro.mobility.static import StaticMobility
+
+        mobility = StaticMobility(Vec2(self.SPACING_M * index, 0.0))
+        return NetworkInterface(
+            sim,
+            medium,
+            NodeId(index + 1),
+            lambda: mobility.position(sim.now),
+            RadioConfig(),
+            sim.streams.get(f"mac-{index}"),
+            name=f"if{index + 1}",
+            mobility=mobility,
+        )
+
+    TIMES = (0.0, 0.4, 1.3, 2.9, 7.7, 7.72)
+
+    def broadcast(self, sim, medium, ifaces, plan):
+        """Schedule ``(time, tx index)`` broadcasts; seq k is tx_seq k+1."""
+        for k, (time, tx) in enumerate(plan):
+            sender = ifaces[tx]
+            frame = data_frame(sender.node_id, ifaces[0].node_id, seq=k)
+            sim.schedule_at(time, medium.transmit, sender, frame, RATE)
+
+    @pytest.mark.parametrize("n_nodes", [5, 20], ids=["linear-scan", "grid"])
+    @pytest.mark.parametrize("environment", ["corridor", "urban"])
+    def test_fixed_pair_equals_uncached_channel_sample(self, environment, n_nodes):
+        from repro import obs
+
+        make_channel = getattr(self, environment)
+        # Two transmitters, three times each: memoised lanes are reused
+        # across TemporalTx grid steps.
+        plan = [(t, 3 * (k % 2)) for k, t in enumerate(self.TIMES)]
+        with obs.instrumented():
+            sim, _, trace, medium, ifaces = self.build(make_channel, n_nodes)
+            self.broadcast(sim, medium, ifaces, plan)
+            sim.run()
+            reg = obs.registry()
+            memoised = reg.counter("medium.static_lanes").value
+            sampled = reg.counter("medium.scalar_floor_calls").value
+        assert memoised > 0 and sampled == 0
+        # A twin channel from the same seed, sampled without any memo.
+        twin = make_channel(Simulator(seed=21))
+        by_id = {iface.node_id: iface for iface in ifaces}
+        assert trace.rx_records
+        for record in trace.rx_records:
+            time, tx = plan[record.frame.seq]
+            sender, receiver = ifaces[tx], by_id[record.node]
+            expected = twin.sample(
+                sender.node_id,
+                receiver.node_id,
+                sender.position(),
+                receiver.position(),
+                sender.config.tx_power_dbm,
+                receiver.config.antenna_gain_db,
+                time=time,
+                tx_seq=record.frame.seq + 1,
+            )
+            assert record.rx_power_dbm == expected.rx_power_dbm
+
+    @pytest.mark.parametrize("environment", ["corridor", "urban"])
+    def test_memo_matches_the_exhaustive_path(self, environment):
+        def records(fast_path):
+            sim, _, trace, medium, ifaces = self.build(
+                getattr(self, environment), 20, fast_path=fast_path
+            )
+            plan = [(0.003 * k, (7 * k) % 20) for k in range(60)]
+            self.broadcast(sim, medium, ifaces, plan)
+            sim.run()
+            return [
+                (r.time, int(r.node), r.frame.seq, r.cause, r.snr_db, r.rx_power_dbm)
+                for r in trace.rx_records
+            ]
+
+        fast = records(True)
+        assert fast
+        assert fast == records(False)
+
+    def test_exhaustive_path_never_memoises(self):
+        sim, _, _, medium, ifaces = self.build(self.corridor, 20, fast_path=False)
+        self.broadcast(sim, medium, ifaces, [(0.0, 4)])
+        sim.run()
+        assert not medium._fixed_memo and not medium._fixed_lists
+
+    def test_attach_after_first_broadcast_drops_lists_and_memo(self):
+        sim, _, trace, medium, ifaces = self.build(self.corridor, 20)
+        self.broadcast(sim, medium, ifaces, [(0.0, 10)])
+        sim.run()
+        assert medium._fixed_lists and medium._fixed_memo
+        late = self.attach_fixed(sim, medium, 11)  # a second mount at 990 m
+        assert not medium._fixed_lists and not medium._fixed_memo
+        # Rebuilt on the next broadcast, now with the new mount in it.
+        frame = data_frame(ifaces[10].node_id, late.node_id, seq=1)
+        medium.transmit(ifaces[10], frame, RATE)
+        sim.run()
+        assert late in medium._fixed_lists[ifaces[10]]
+        assert any(r.node == late.node_id for r in trace.rx_records)
+
+    def test_invalidate_neighbors_drops_lists_and_memo(self):
+        sim, _, _, medium, ifaces = self.build(self.corridor, 20)
+        self.broadcast(sim, medium, ifaces, [(0.0, 10)])
+        sim.run()
+        assert medium._fixed_lists and medium._fixed_memo
+        medium.invalidate_neighbors()
+        assert not medium._fixed_lists and not medium._fixed_memo
+
+    @pytest.mark.parametrize("environment", ["corridor", "urban"])
+    def test_channel_reset_drops_the_memo(self, environment):
+        make_channel = getattr(self, environment)
+        sim, channel, trace, medium, ifaces = self.build(make_channel, 20)
+        self.broadcast(sim, medium, ifaces, [(0.0, 10)])
+        sim.run()
+        first = [(r.node, r.rx_power_dbm) for r in trace.rx_records]
+        channel.reset()  # a fresh shadowing realisation
+        frame = data_frame(ifaces[10].node_id, ifaces[0].node_id, seq=0)
+        sent_at = sim.now
+        medium.transmit(ifaces[10], frame, RATE)
+        sim.run()
+        twin = make_channel(Simulator(seed=21))
+        twin.reset()
+        sender = ifaces[10]
+        by_id = {iface.node_id: iface for iface in ifaces}
+        second = trace.rx_records[len(first):]
+        assert second
+        for record in second:
+            receiver = by_id[record.node]
+            expected = twin.sample(
+                sender.node_id, receiver.node_id, sender.position(),
+                receiver.position(), sender.config.tx_power_dbm,
+                receiver.config.antenna_gain_db, time=sent_at, tx_seq=2,
+            )
+            assert record.rx_power_dbm == expected.rx_power_dbm
+
+    @pytest.mark.parametrize("override", ["sample", "link_budget"])
+    def test_scripted_channel_subclass_bypasses_the_memo(self, override):
+        from repro import obs
+        from repro.radio.channel import LinkSample
+
+        class ScriptedSample(Channel):
+            def sample(self, tx_id, rx_id, tx_pos, rx_pos, tx_power_dbm,
+                       rx_gain_db=0.0, time=0.0, *, tx_seq=None, budget=None):
+                return LinkSample(-60.0, -60.0, 10.0)
+
+        class ScriptedBudget(Channel):
+            def link_budget(self, tx_pos, rx_pos):
+                return tx_pos.distance_to(rx_pos), 100.0
+
+        cls = ScriptedSample if override == "sample" else ScriptedBudget
+
+        def make_channel(sim):
+            return cls(
+                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
+                rng=sim.streams.get("channel"),
+            )
+
+        with obs.instrumented():
+            sim, _, trace, medium, ifaces = self.build(make_channel, 20)
+            self.broadcast(sim, medium, ifaces, [(0.0, 10), (0.01, 3)])
+            sim.run()
+            memoised = obs.registry().counter("medium.static_lanes").value
+        assert memoised == 0
+        assert not medium._fixed_memo and not medium._fixed_lists
+        assert trace.rx_records
+        if override == "sample":
+            assert all(r.rx_power_dbm == -60.0 for r in trace.rx_records)
+        else:
+            # Scripted 100 dB loss on every lane; no shadowing or fading.
+            radio = RadioConfig()
+            scripted = radio.tx_power_dbm + radio.antenna_gain_db - 100.0
+            assert all(r.rx_power_dbm == scripted for r in trace.rx_records)

@@ -142,3 +142,71 @@ class TestRetransmissionPolicy:
         seqs = [t.frame.seq for t in trace.tx_records if isinstance(t.frame, DataFrame)]
         for seq in set(seqs):
             assert seqs.count(seq) == 3
+
+
+class _RecordingRng:
+    """A generator stand-in that logs every draw the AP and its MAC take."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.draws: list[tuple] = []
+
+    def random(self) -> float:
+        value = self._rng.random()
+        self.draws.append(("random", value))
+        return value
+
+    def integers(self, low, high):
+        value = self._rng.integers(low, high)
+        self.draws.append(("integers", (low, high), value))
+        return value
+
+
+class TestJitterDraw:
+    def test_tick_delays_and_backoffs_match_numpy_uniform_bit_for_bit(self):
+        """The spelled-out jitter draw equals ``uniform(-j, j)`` on a twin.
+
+        The AP and its interface share one generator, so the back-off
+        draws that follow each tick must land on the same stream
+        positions as they did with ``uniform``.
+        """
+        rate_hz, fraction, seed = 5.0, 0.05, 11
+        interval = 1.0 / rate_hz
+        jitter = fraction * interval
+        sim = Simulator(seed=seed)
+        channel = Channel(
+            pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
+            rng=sim.streams.get("channel"),
+        )
+        medium = Medium(sim, channel)
+        recorder = _RecordingRng(np.random.default_rng(seed))
+        ap = AccessPoint(
+            sim,
+            medium,
+            AP,
+            StaticMobility(Vec2(0, 0)),
+            RadioConfig(),
+            recorder,
+            [
+                FlowConfig(destination=CAR1, packet_rate_hz=rate_hz),
+                FlowConfig(destination=CAR2, packet_rate_hz=rate_hz),
+            ],
+            jitter_fraction=fraction,
+        )
+        ap.start()
+        sim.run(until=30.0)
+        kinds = {draw[0] for draw in recorder.draws}
+        assert kinds == {"random", "integers"}
+        twin = np.random.default_rng(seed)
+        ticks = 0
+        for draw in recorder.draws:
+            if draw[0] == "random":
+                delay = interval + (-jitter + (jitter - -jitter) * draw[1])
+                expected = interval + float(twin.uniform(-jitter, jitter))
+                assert delay == expected
+                ticks += 1
+            else:
+                assert draw[2] == twin.integers(*draw[1])
+        assert ticks >= 2 * 30 * rate_hz - 4
+        # Both generators end at the same stream position.
+        assert recorder.random() == twin.random()

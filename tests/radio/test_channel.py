@@ -70,6 +70,42 @@ class TestSample:
         assert b.rx_power_dbm == pytest.approx(c.rx_power_dbm - 30.0)
 
 
+class TestMeanAndFadeSplit:
+    """``sample`` is the deterministic mean plus the keyed fade."""
+
+    @staticmethod
+    def shadowed_channel():
+        from repro.radio.fading import RicianFading
+        from repro.radio.shadowing import GudmundsonShadowing
+
+        return Channel(
+            pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
+            shadowing=GudmundsonShadowing(np.random.default_rng(4), sigma_db=5.0),
+            fading=RicianFading(np.random.default_rng(5)),
+            rng=np.random.default_rng(0),
+        )
+
+    def test_sample_is_mean_plus_fade(self):
+        channel = self.shadowed_channel()
+        tx, rx = Vec2(0, 0), Vec2(70, 9)
+        link, link_hash = channel.link("a", "b")
+        _, loss = channel.link_budget(tx, rx)
+        for tx_seq in (1, 2, 99):
+            sample = channel.sample(
+                "a", "b", tx, rx, 15.0, 2.0, time=3.0, tx_seq=tx_seq
+            )
+            mean = channel.mean_rx_power_dbm(link, tx, rx, 15.0, 2.0, loss, 3.0)
+            assert sample.mean_rx_power_dbm == mean
+            assert sample.rx_power_dbm == mean + channel.fade_db(link_hash, tx_seq)
+
+    def test_reset_counts_realisations(self):
+        channel = self.shadowed_channel()
+        assert channel.realisation == 0
+        assert channel.shadow_time_invariant()
+        channel.reset()
+        assert channel.realisation == 1
+
+
 class TestDelivery:
     def test_strong_signal_always_delivered(self):
         channel = ideal_channel()

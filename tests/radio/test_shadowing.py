@@ -5,10 +5,12 @@ import pytest
 
 from repro.errors import RadioError
 from repro.geom import Vec2
+from repro.radio.keyed import stable_hash64
 from repro.radio.shadowing import (
     CompositeShadowing,
     GudmundsonShadowing,
     NoShadowing,
+    ShadowingModel,
     TemporalTxShadowing,
 )
 
@@ -102,6 +104,46 @@ class TestGudmundson:
         with pytest.raises(RadioError):
             GudmundsonShadowing(rng(), decorrelation_distance_m=0.0)
 
+    @staticmethod
+    def _batch(model, link, tx_pos, rx_pos):
+        return float(
+            model.sample_db_batch(
+                [link],
+                np.array([stable_hash64(link)], dtype=np.uint64),
+                tx_pos,
+                np.array([rx_pos.x]),
+                np.array([rx_pos.y]),
+                np.array([tx_pos.distance_to(rx_pos)]),
+            )[0]
+        )
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("scalar", "scalar"), ("scalar", "batch"), ("batch", "scalar")],
+    )
+    def test_cell_memo_shared_by_scalar_and_batch(self, first, second):
+        """Either path may fill a cell's corner block; the other reuses it."""
+        link = ("ap", "car")
+        tx_pos = Vec2(0.0, 0.0)
+        # Two receiver positions in one lattice cell of (sum, separation).
+        rx_a, rx_b = Vec2(31.0, 2.0), Vec2(31.5, 2.25)
+        model = GudmundsonShadowing(rng(), sigma_db=6.0, decorrelation_distance_m=18.0)
+        fresh = GudmundsonShadowing(rng(), sigma_db=6.0, decorrelation_distance_m=18.0)
+        draw = {
+            "scalar": lambda m, rx: m.sample_db(link, tx_pos, rx),
+            "batch": lambda m, rx: self._batch(m, link, tx_pos, rx),
+        }
+        draw[first](model, rx_a)
+        # One cell, so the first lookup left exactly one block behind.
+        assert len(model._corner_blocks) == 1
+        reused = draw[second](model, rx_b)
+        assert len(model._corner_blocks) == 1
+        assert reused == fresh.sample_db(link, tx_pos, rx_b)
+        assert reused == self._batch(
+            GudmundsonShadowing(rng(), sigma_db=6.0, decorrelation_distance_m=18.0),
+            link, tx_pos, rx_b,
+        )
+
 
 class TestTemporalTx:
     def test_same_instant_same_value_for_all_hub_links(self):
@@ -168,3 +210,21 @@ class TestComposite:
         model.reset()
         second = model.sample_db(link, Vec2(0, 0), Vec2(0, 0))
         assert first != second
+
+
+class TestTimeInvariance:
+    def test_models_declare_whether_time_moves_them(self):
+        gudmundson = GudmundsonShadowing(rng())
+        temporal = TemporalTxShadowing(rng(), hub="ap")
+        assert NoShadowing().time_invariant()
+        assert gudmundson.time_invariant()
+        assert not temporal.time_invariant()
+        assert CompositeShadowing([gudmundson, NoShadowing()]).time_invariant()
+        assert not CompositeShadowing([gudmundson, temporal]).time_invariant()
+
+    def test_unknown_models_default_to_time_varying(self):
+        class Custom(ShadowingModel):
+            def sample_db(self, link, tx_pos, rx_pos, time=0.0):
+                return 0.0
+
+        assert not Custom().time_invariant()

@@ -63,10 +63,27 @@ SMALL_CONFIGS = {
 }
 
 
+#: The multi-AP corridor with its infostations in each other's reach and
+#: enough radios for the neighbour grid, so AP↔AP lanes run through the
+#: medium's fixed-lane memo (the cheap config above spaces APs out of
+#: reach, where the memo only ever answers "culled").
+FIXED_LANES_CONFIG = MultiApConfig(
+    seed=13,
+    rounds=1,
+    road_length_m=1600.0,
+    ap_spacing_m=200.0,
+    n_cars=8,
+    file_blocks=60,
+    speed_ms=30.0,
+    packet_rate_hz=2.0,
+)
+
+
 def run_rows(
     scenario: str, config, *, fast_path: bool, batch: bool,
     batched_delivery: bool = True,
     cross_broadcast_batch: bool = True, instrumented: bool = False,
+    counters: dict | None = None,
 ):
     radio = dataclasses.replace(
         config.radio,
@@ -91,6 +108,9 @@ def run_rows(
             # Guard against a silently dead pin: the instrumentation must
             # actually have observed the round it claims not to perturb.
             assert obs.registry().counter("sim.events_fired").value > 0
+            if counters is not None:
+                for name in counters:
+                    counters[name] = obs.registry().counter(name).value
         assert len(tracer.spans()) > 0
     else:
         run_campaign(spec, store, workers=1)
@@ -183,3 +203,22 @@ def test_rows_unchanged_with_instrumentation_enabled(scenario, fast_path, batch)
     assert instrumented == plain_rows(
         scenario, fast_path=fast_path, batch=batch
     )
+
+
+def test_fixed_lane_memo_rows_bit_identical():
+    """The fixed-infrastructure A/B pin on the multi-AP corridor.
+
+    Lanes between two fixed APs reuse their memoised distance, loss, cull
+    verdict and mean power, drawing only the keyed fade per frame.  The
+    fast arms must take that memo and the exhaustive reference must not,
+    and all three must store the same rows.
+    """
+    rows = []
+    for fast_path, batch in [(True, True), (True, False), (False, False)]:
+        counters = {"medium.static_lanes": None}
+        rows.append(run_rows(
+            "multi_ap", FIXED_LANES_CONFIG, fast_path=fast_path, batch=batch,
+            instrumented=True, counters=counters,
+        ))
+        assert (counters["medium.static_lanes"] > 0) == fast_path
+    assert rows[0] == rows[1] == rows[2]

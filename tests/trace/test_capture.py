@@ -1,9 +1,13 @@
 """Trace collector: record-keeping and queries."""
 
+import pickle
+import sys
+
 from repro.mac.frames import DataFrame, HelloFrame, NodeId
 from repro.mac.medium import LossCause
 from repro.radio.modulation import rate_by_name
 from repro.trace.capture import TraceCollector
+from repro.trace.records import RxRecord, TxRecord
 
 RATE = rate_by_name("dsss-1")
 AP, CAR1, CAR2 = NodeId(100), NodeId(1), NodeId(2)
@@ -39,6 +43,23 @@ class TestRecording:
 
     def test_delivery_time_missing(self):
         assert TraceCollector().delivery_time(CAR1, CAR1, 9) is None
+
+    def test_queries_leave_the_collector_unchanged(self):
+        # Regression: indexing the defaultdicts inserted an empty entry
+        # per (node, flow) pair ever queried.
+        trace = TraceCollector()
+        trace.on_tx(1.0, AP, data(1), RATE)
+        trace.on_rx(1.1, CAR1, data(1), LossCause.DELIVERED, 10.0, -80.0)
+        sizes = (len(trace._data_transmissions), len(trace._data_deliveries))
+        for node in (CAR1, CAR2, NodeId(7)):
+            for flow in (CAR1, CAR2, NodeId(8)):
+                trace.transmitted_seqs(flow)
+                trace.delivered_seqs(node, flow)
+                trace.delivery_time(node, flow, 1)
+        assert (len(trace._data_transmissions), len(trace._data_deliveries)) == sizes
+        assert trace.transmitted_seqs(CAR1) == {1}
+        assert trace.delivered_seqs(CAR1, CAR1) == {1}
+        assert trace.delivery_time(CAR1, CAR1, 1) == 1.1
 
     def test_non_data_frames_not_in_flow_queries(self):
         trace = TraceCollector()
@@ -111,3 +132,39 @@ class TestSlots:
         assert sys.getsizeof(slotted) < (
             sys.getsizeof(control) + sys.getsizeof(control.__dict__)
         )
+
+    def test_records_have_no_instance_dict(self):
+        # One RxRecord per arrival: the largest object population of a
+        # traced round, so slotted like the collector.
+        tx = TxRecord(0.0, AP, data(1), RATE)
+        rx = RxRecord(0.1, CAR1, data(1), LossCause.DELIVERED, 10.0, -80.0)
+        assert not hasattr(tx, "__dict__")
+        assert not hasattr(rx, "__dict__")
+
+    def test_rx_record_is_smaller_than_dict_control(self):
+        class DictRecord:  # same fields, no __slots__ — the control
+            def __init__(self, time, node, frame, cause, snr_db, rx_power_dbm):
+                self.time = time
+                self.node = node
+                self.frame = frame
+                self.cause = cause
+                self.snr_db = snr_db
+                self.rx_power_dbm = rx_power_dbm
+
+        fields = (0.1, CAR1, data(1), LossCause.DELIVERED, 10.0, -80.0)
+        slotted = RxRecord(*fields)
+        control = DictRecord(*fields)
+        assert sys.getsizeof(slotted) < (
+            sys.getsizeof(control) + sys.getsizeof(control.__dict__)
+        )
+
+    def test_records_compare_and_pickle_as_before(self):
+        rx = RxRecord(0.1, CAR1, data(1), LossCause.CHANNEL, -2.0, -90.0)
+        same = RxRecord(0.1, CAR1, data(1), LossCause.CHANNEL, -2.0, -90.0)
+        other = RxRecord(0.1, CAR1, data(1), LossCause.DELIVERED, -2.0, -90.0)
+        assert rx == same and hash(rx) == hash(same)
+        assert rx != other
+        assert pickle.loads(pickle.dumps(rx)) == rx
+        assert pickle.loads(pickle.dumps(other)).delivered
+        tx = TxRecord(0.0, AP, data(1), RATE)
+        assert pickle.loads(pickle.dumps(tx)) == tx
